@@ -181,6 +181,8 @@ pub struct TraceArg {
     bin: &'static str,
     sink: Option<JsonlSink>,
     start: Instant,
+    /// Process-wide clamp total at start: a bin process is one run, so
+    /// the run report counts every thread's clamps.
     clamps_start: u64,
 }
 

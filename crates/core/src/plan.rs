@@ -16,7 +16,7 @@
 //!
 //! - [`SizingProblem`] — the grouped CSR constraint/Jacobian/Hessian
 //!   assembly (one unit per evaluation group, intervals from the
-//!   `jac_off`/`hess_off` prefix offsets that drive `split_groups`);
+//!   `jac_off`/`hess_off` prefix offsets that drive `fill_groups_par`);
 //! - [`LevelSweeper`] — the levelized SoA sweep (one unit per
 //!   `(level, chunk)` pair over the shared counting-sort
 //!   [`sgs_ssta::LevelSchedule`]);
@@ -191,8 +191,9 @@ impl WritePlan for SizingProblem {
                     units: hess_units,
                 },
             ],
-            // Clark variance clamps fire inside parallel groups and are
-            // tallied by exact u64 atomic addition in sgs-metrics.
+            // Clark variance clamps fire inside parallel groups; they are
+            // tallied by exact u64 atomic addition in sgs-metrics and
+            // summed back to the dispatching thread's tally.
             reductions: vec![ReductionDecl {
                 name: "clark_var_clamp_count",
                 parallel: true,

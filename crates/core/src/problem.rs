@@ -47,8 +47,14 @@ use sgs_statmath::clark::{self, ClarkGrad, ClarkHess};
 
 const INF: f64 = f64::INFINITY;
 /// Minimum constraint count before constraint/derivative assembly fans
-/// out across threads; below this the sequential sweep wins.
-const PAR_CON_THRESHOLD: usize = 512;
+/// out across threads. Measured by the assembly crossover of
+/// `bench_parallel` (`BENCH_parallel.json`, `assembly_crossover`): on a
+/// 2-core host the forced-parallel bounded solve was never 10% faster than
+/// the serial one at any measured size up to 17,535 constraints (a
+/// 2500-cell DAG), so the threshold sits just above that, and no Table 1
+/// formulation (apex2 ~0.9k, apex1 ~7k, k2 ~12k constraints) assembles in
+/// parallel.
+pub const PAR_CON_THRESHOLD: usize = 17_536;
 /// Lower bound applied to variance variables (keeps `sqrt` smooth).
 const VAR_LB: f64 = 1e-12;
 /// Floor inside `sqrt` when evaluating sigma terms.
@@ -694,9 +700,16 @@ impl SizingProblem {
         x[self.i_v_tmax].max(SQRT_FLOOR).sqrt()
     }
 
-    /// Whether constraint/derivative assembly should fan out over groups.
+    /// Whether constraint/derivative assembly fans out over groups when
+    /// `threads` threads are configured: more than one thread and at least
+    /// [`PAR_CON_THRESHOLD`] constraints (or the
+    /// [`SizingProblem::set_par_threshold`] override).
+    pub fn assembles_in_parallel(&self, threads: usize) -> bool {
+        self.cons.len() >= self.par_threshold && threads > 1
+    }
+
     fn par_assembly(&self) -> bool {
-        self.cons.len() >= self.par_threshold && rayon::current_num_threads() > 1
+        self.assembles_in_parallel(rayon::current_num_threads())
     }
 
     /// One shared Clark gradient per group whose leader is a max
@@ -899,13 +912,12 @@ impl SizingProblem {
             self.jac_overlap,
         );
         if self.par_assembly() {
-            split_groups(
+            fill_groups_par(
                 &self.groups,
                 |start, len| self.jac_off[start + len] - self.jac_off[start],
                 vals,
-            )
-            .into_par_iter()
-            .for_each(|(start, len, out)| self.jacobian_group(x, start, len, out));
+                |start, len, out| self.jacobian_group(x, start, len, out),
+            );
         } else {
             for &(start, len) in &self.groups {
                 let out = &mut vals[self.jac_off[start]..self.jac_off[start + len]];
@@ -945,13 +957,12 @@ impl SizingProblem {
             _ => {}
         }
         if self.par_assembly() {
-            split_groups(
+            fill_groups_par(
                 &self.groups,
                 |start, len| self.hess_off[start + len] - self.hess_off[start],
                 rest,
-            )
-            .into_par_iter()
-            .for_each(|(start, len, out)| self.hessian_group(x, lambda, start, len, out));
+                |start, len, out| self.hessian_group(x, lambda, start, len, out),
+            );
         } else {
             for &(start, len) in &self.groups {
                 let out = &mut rest[self.hess_off[start]..self.hess_off[start + len]];
@@ -1106,13 +1117,17 @@ fn index_cons(cons: &[Con]) -> (Vec<(usize, usize)>, Vec<usize>, Vec<usize>) {
 }
 
 /// Splits `vals` into one disjoint mutable slice per group (`width` maps
-/// `(first_con, count)` to the group's entry count). The slices partition
+/// `(first_con, count)` to the group's entry count) and fills the slices in
+/// parallel with `fill(first_con, count, slice)`. The slices partition
 /// `vals` in group order, which is what makes the parallel fill race-free.
-fn split_groups<'v>(
+/// Clark variance clamps fired on the workers are credited to the calling
+/// thread, so a solve's clamp count is the same on either assembly path.
+fn fill_groups_par(
     groups: &[(usize, usize)],
     width: impl Fn(usize, usize) -> usize,
-    mut vals: &'v mut [f64],
-) -> Vec<(usize, usize, &'v mut [f64])> {
+    mut vals: &mut [f64],
+    fill: impl Fn(usize, usize, &mut [f64]) + Sync,
+) {
     let mut parts = Vec::with_capacity(groups.len());
     for &(start, len) in groups {
         let (head, tail) = std::mem::take(&mut vals).split_at_mut(width(start, len));
@@ -1120,7 +1135,11 @@ fn split_groups<'v>(
         vals = tail;
     }
     debug_assert!(vals.is_empty());
-    parts
+    let clamps: u64 = parts
+        .into_par_iter()
+        .map(|(start, len, out)| clark::take_var_clamps(|| fill(start, len, out)).1)
+        .sum();
+    clark::credit_var_clamps(clamps);
 }
 
 impl NlpProblem for SizingProblem {
@@ -1181,9 +1200,12 @@ impl NlpProblem for SizingProblem {
             }
         }
         if self.par_assembly() {
-            split_groups(&self.groups, |_, len| len, c)
-                .into_par_iter()
-                .for_each(|(start, len, out)| self.constraints_group(x, start, len, out));
+            fill_groups_par(
+                &self.groups,
+                |_, len| len,
+                c,
+                |start, len, out| self.constraints_group(x, start, len, out),
+            );
         } else {
             for &(start, len) in &self.groups {
                 self.constraints_group(x, start, len, &mut c[start..start + len]);

@@ -123,6 +123,8 @@ pub struct ReducedObjective<'a> {
     // Per-evaluation scratch, reused across the L-BFGS iterations.
     scratch: Tape,
     adj: AdjointBufs,
+    /// Per-gate arrival moments of the value-only forward sweep.
+    moments: Vec<(f64, f64)>,
 }
 
 impl<'a> ReducedObjective<'a> {
@@ -139,6 +141,7 @@ impl<'a> ReducedObjective<'a> {
             input_arrivals: None,
             scratch: Tape::default(),
             adj: AdjointBufs::default(),
+            moments: Vec::new(),
         }
     }
 
@@ -158,24 +161,51 @@ impl<'a> ReducedObjective<'a> {
         self
     }
 
-    fn pi_ref(&self, p: usize) -> OpRef {
+    /// Arrival moments `(mu, var)` of primary input `p`.
+    fn pi_moments(&self, p: usize) -> (f64, f64) {
         match &self.input_arrivals {
-            None => OpRef::Const { mu: 0.0, var: 0.0 },
-            Some(a) => OpRef::Const {
-                mu: a[p].mean(),
-                var: a[p].var(),
-            },
+            None => (0.0, 0.0),
+            Some(a) => (a[p].mean(), a[p].var()),
         }
     }
 
-    /// Forward sweep: SSTA with a gradient tape. Allocates a fresh tape —
-    /// the cold-path entry for [`ReducedObjective::violation`] and
-    /// [`ReducedObjective::delay_moments`]; the hot path goes through
-    /// [`ReducedObjective::forward_into`].
-    fn forward(&self, s: &[f64]) -> Tape {
-        let mut tape = Tape::default();
-        self.forward_into(s, &mut tape);
-        tape
+    fn pi_ref(&self, p: usize) -> OpRef {
+        let (mu, var) = self.pi_moments(p);
+        OpRef::Const { mu, var }
+    }
+
+    /// Value-only forward sweep: the SSTA of [`ReducedObjective::forward_into`]
+    /// without a gradient tape. Folds every max in the same order through
+    /// [`clark::max_moments`] (bit-identical to the taped
+    /// [`clark::max_grad`] moments, same counted clamps), fills `arr` with
+    /// the per-gate arrival moments and returns `(mu_Tmax, var_Tmax)`.
+    fn forward_moments_into(&self, s: &[f64], arr: &mut Vec<(f64, f64)>) -> (f64, f64) {
+        arr.clear();
+        arr.resize(self.circuit.num_gates(), (0.0, 0.0));
+        let operand = |sig: Signal, arr: &[(f64, f64)]| match sig {
+            Signal::Pi(p) => self.pi_moments(p),
+            Signal::Gate(src) => arr[src.index()],
+        };
+        for (id, gate) in self.circuit.gates() {
+            let g = id.index();
+            let load = self.model.load_cap(id, s);
+            let mu_t = self.model.t_int(id) + self.model.c() * load / s[g];
+            let (mut umu, mut uvar) = operand(gate.inputs[0], arr);
+            for &sig in &gate.inputs[1..] {
+                let (mb, vb) = operand(sig, arr);
+                (umu, uvar) = clark::max_moments(umu, uvar, mb, vb, self.eps);
+            }
+            let vt = self.kappa2 * mu_t * mu_t;
+            arr[g] = (umu + mu_t, uvar + vt);
+        }
+
+        let outputs = self.circuit.outputs();
+        let (mut mu, mut var) = arr[outputs[0].index()];
+        for &o in &outputs[1..] {
+            let (mb, vb) = arr[o.index()];
+            (mu, var) = clark::max_moments(mu, var, mb, vb, self.eps);
+        }
+        (mu, var)
     }
 
     /// Forward sweep into a caller-provided tape, reusing its buffers.
@@ -264,21 +294,22 @@ impl<'a> ReducedObjective<'a> {
         tape.var_tmax = var_tmax;
     }
 
-    /// Objective + penalty value from tape results.
-    fn value_from(&self, s: &[f64], tape: &Tape) -> f64 {
-        let sigma = tape.var_tmax.max(1e-18).sqrt();
+    /// Objective + penalty value from the circuit delay moments and the
+    /// per-gate arrival moments.
+    fn value_from(&self, s: &[f64], mu_tmax: f64, var_tmax: f64, arr: &[(f64, f64)]) -> f64 {
+        let sigma = var_tmax.max(1e-18).sqrt();
         let base = match &self.objective {
             Objective::Area => s.iter().sum(),
             Objective::WeightedArea(w) => s.iter().zip(w).map(|(a, b)| a * b).sum(),
-            Objective::MeanDelay => tape.mu_tmax,
-            Objective::MeanPlusKSigma(k) => tape.mu_tmax + k * sigma,
+            Objective::MeanDelay => mu_tmax,
+            Objective::MeanPlusKSigma(k) => mu_tmax + k * sigma,
             Objective::Sigma => sigma,
             Objective::NegSigma => -sigma,
         };
-        base + self.penalty_value(tape.mu_tmax, sigma, tape)
+        base + self.penalty_value(mu_tmax, sigma, arr)
     }
 
-    fn penalty_value(&self, mu: f64, sigma: f64, tape: &Tape) -> f64 {
+    fn penalty_value(&self, mu: f64, sigma: f64, arr: &[(f64, f64)]) -> f64 {
         let w = self.penalty_weight;
         match &self.spec {
             DelaySpec::None => 0.0,
@@ -288,7 +319,7 @@ impl<'a> ReducedObjective<'a> {
             DelaySpec::PerOutput { k, d } => {
                 let mut total = 0.0;
                 for (&o, &d_o) in self.circuit.outputs().iter().zip(d) {
-                    let (m, v) = tape.arr[o.index()];
+                    let (m, v) = arr[o.index()];
                     let viol = (m + k * v.max(1e-18).sqrt() - d_o).max(0.0);
                     total += w * viol * viol;
                 }
@@ -344,20 +375,21 @@ impl<'a> ReducedObjective<'a> {
     /// Delay-constraint violation at `s` (0 when satisfied), for the outer
     /// penalty loop.
     pub fn violation(&self, s: &[f64]) -> f64 {
-        let tape = self.forward(s);
-        let sigma = tape.var_tmax.max(1e-18).sqrt();
+        let mut arr = Vec::new();
+        let (mu_tmax, var_tmax) = self.forward_moments_into(s, &mut arr);
+        let sigma = var_tmax.max(1e-18).sqrt();
         match &self.spec {
             DelaySpec::None => 0.0,
-            DelaySpec::MaxMean(d) => (tape.mu_tmax - d).max(0.0),
-            DelaySpec::MaxMeanPlusKSigma { k, d } => (tape.mu_tmax + k * sigma - d).max(0.0),
-            DelaySpec::ExactMean(d) => (tape.mu_tmax - d).abs(),
+            DelaySpec::MaxMean(d) => (mu_tmax - d).max(0.0),
+            DelaySpec::MaxMeanPlusKSigma { k, d } => (mu_tmax + k * sigma - d).max(0.0),
+            DelaySpec::ExactMean(d) => (mu_tmax - d).abs(),
             DelaySpec::PerOutput { k, d } => self
                 .circuit
                 .outputs()
                 .iter()
                 .zip(d)
                 .map(|(&o, &d_o)| {
-                    let (m, v) = tape.arr[o.index()];
+                    let (m, v) = arr[o.index()];
                     (m + k * v.max(1e-18).sqrt() - d_o).max(0.0)
                 })
                 .fold(0.0, f64::max),
@@ -366,8 +398,7 @@ impl<'a> ReducedObjective<'a> {
 
     /// The circuit delay moments at `s` (forward sweep only).
     pub fn delay_moments(&self, s: &[f64]) -> (f64, f64) {
-        let tape = self.forward(s);
-        (tape.mu_tmax, tape.var_tmax)
+        self.forward_moments_into(s, &mut Vec::new())
     }
 }
 
@@ -376,11 +407,12 @@ impl GradFn for ReducedObjective<'_> {
         self.circuit.num_gates()
     }
 
+    /// Value-only evaluation (every line-search trial): no gradient tape.
     fn value(&mut self, x: &[f64]) -> f64 {
-        let mut tape = std::mem::take(&mut self.scratch);
-        self.forward_into(x, &mut tape);
-        let v = self.value_from(x, &tape);
-        self.scratch = tape;
+        let mut arr = std::mem::take(&mut self.moments);
+        let (mu_tmax, var_tmax) = self.forward_moments_into(x, &mut arr);
+        let v = self.value_from(x, mu_tmax, var_tmax, &arr);
+        self.moments = arr;
         v
     }
 
@@ -662,6 +694,94 @@ mod tests {
         let r = sgs_ssta::ssta(&c, &lib(), &s);
         assert!((mu - r.delay.mean()).abs() < 1e-9);
         assert!((var - r.delay.var()).abs() < 1e-9);
+    }
+
+    /// The value-only forward (every line-search trial) reproduces the
+    /// taped forward bit for bit: circuit and per-gate arrival moments,
+    /// the objective value, and the number of Clark variance clamps.
+    #[test]
+    fn value_only_forward_is_bit_identical_to_taped_forward() {
+        let rdag40 = {
+            let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmarks/rdag40.blif");
+            let text = std::fs::read_to_string(path).expect("benchmarks/rdag40.blif exists");
+            sgs_netlist::blif::parse(&text).expect("rdag40.blif parses")
+        };
+        let apex2 = generate::benchmark_suite()
+            .into_iter()
+            .find(|c| c.name() == "apex2")
+            .expect("suite has apex2");
+        let lib = lib();
+        let mut clamps = 0;
+        for c in [generate::tree7(), rdag40, apex2] {
+            let n = c.num_gates();
+            let arrivals: Vec<sgs_statmath::Normal> = (0..c.num_inputs())
+                .map(|p| {
+                    sgs_statmath::Normal::from_mean_var(0.4 * (p % 5) as f64, 0.02 * (p % 3) as f64)
+                })
+                .collect();
+            // Deadlines at 0.8 of the unsized delays, so penalties are active.
+            let probe = ReducedObjective::new(&c, &lib, Objective::MeanDelay, DelaySpec::None);
+            let mut unsized_arr = Vec::new();
+            let (mu1, _) = probe.forward_moments_into(&vec![1.0; n], &mut unsized_arr);
+            let d_out: Vec<f64> = c
+                .outputs()
+                .iter()
+                .map(|o| 0.8 * unsized_arr[o.index()].0)
+                .collect();
+            let cases = [
+                (Objective::MeanPlusKSigma(3.0), DelaySpec::None),
+                (
+                    Objective::Area,
+                    DelaySpec::MaxMeanPlusKSigma {
+                        k: 3.0,
+                        d: 0.8 * mu1,
+                    },
+                ),
+                (Objective::Area, DelaySpec::PerOutput { k: 1.0, d: d_out }),
+            ];
+            for (obj, spec) in cases {
+                for with_arrivals in [false, true] {
+                    let mut red = ReducedObjective::new(&c, &lib, obj.clone(), spec.clone());
+                    if with_arrivals {
+                        red = red.with_input_arrivals(arrivals.clone());
+                    }
+                    for trial in 0..6 {
+                        // Uneven sizes, from unsized to strongly skewed,
+                        // so dominated maxima (and clamps) occur.
+                        let s: Vec<f64> = (0..n)
+                            .map(|i| 1.0 + ((i * 7 + trial * 13) % 23) as f64 * 0.15 * trial as f64)
+                            .map(|v| v.min(lib.s_limit))
+                            .collect();
+                        let before = clark::thread_var_clamp_count();
+                        let mut tape = Tape::default();
+                        red.forward_into(&s, &mut tape);
+                        let taped_clamps = clark::thread_var_clamp_count() - before;
+                        let taped = red.value_from(&s, tape.mu_tmax, tape.var_tmax, &tape.arr);
+
+                        let before = clark::thread_var_clamp_count();
+                        let value = red.value(&s);
+                        let value_clamps = clark::thread_var_clamp_count() - before;
+                        let mut arr = Vec::new();
+                        let (mu, var) = red.forward_moments_into(&s, &mut arr);
+
+                        let at = format!(
+                            "{} {obj} {spec:?} arrivals {with_arrivals} trial {trial}",
+                            c.name()
+                        );
+                        assert_eq!(value.to_bits(), taped.to_bits(), "value at {at}");
+                        assert_eq!(value_clamps, taped_clamps, "clamps at {at}");
+                        assert_eq!(mu.to_bits(), tape.mu_tmax.to_bits(), "mu at {at}");
+                        assert_eq!(var.to_bits(), tape.var_tmax.to_bits(), "var at {at}");
+                        for (g, (a, b)) in arr.iter().zip(&tape.arr).enumerate() {
+                            assert_eq!(a.0.to_bits(), b.0.to_bits(), "arrival mu {g} at {at}");
+                            assert_eq!(a.1.to_bits(), b.1.to_bits(), "arrival var {g} at {at}");
+                        }
+                        clamps += taped_clamps;
+                    }
+                }
+            }
+        }
+        assert!(clamps > 0, "the trials must exercise the variance clamp");
     }
 
     #[test]

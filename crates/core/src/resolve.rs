@@ -337,7 +337,7 @@ impl<'a> Resolver<'a> {
         let _solve_phase = sgs_metrics::phase(sgs_metrics::Phase::Solve);
         sgs_metrics::incr(sgs_metrics::Counter::ResolveSolves);
         let tracer = self.tracer().attach(req);
-        let clamps_before = sgs_statmath::clark::var_clamp_count();
+        let clamps_before = sgs_statmath::clark::thread_var_clamp_count();
         let x0 = self.problem.initial_point(self.inc.sizes());
         let warm = match seed {
             Seed::Carry => self.warm.clone(),
@@ -378,10 +378,10 @@ impl<'a> Resolver<'a> {
             });
         }
         self.warm = Some(WarmStart::from_result(&result));
-        // Trace-only delta: the metrics-registry total is maintained at the
-        // clamp sites themselves (see `sgs_statmath::clark::var_clamp_count`),
-        // so concurrent solves cannot double-count each other's clamps.
-        let clark_var_clamps = sgs_statmath::clark::var_clamp_count().saturating_sub(clamps_before);
+        // Per-thread delta (see `sgs_statmath::clark::thread_var_clamp_count`),
+        // so concurrent solves cannot inflate each other's count; the
+        // metrics-registry total is maintained at the clamp sites themselves.
+        let clark_var_clamps = sgs_statmath::clark::thread_var_clamp_count() - clamps_before;
         tracer.emit(|| TraceEvent::Counter {
             name: "clark_var_clamped",
             value: clark_var_clamps,

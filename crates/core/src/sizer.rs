@@ -122,10 +122,11 @@ pub struct SizingResult {
     /// instead).
     pub evals: EvalCounts,
     /// How many Clark-max evaluations clamped a negative variance to zero
-    /// during this solve (delta of
-    /// [`sgs_statmath::clark::var_clamp_count`]; a process-global counter,
-    /// so concurrent solves may inflate each other's delta). Also emitted
-    /// as the `clark_var_clamped` trace counter.
+    /// during this solve (delta of the solving thread's
+    /// [`sgs_statmath::clark::thread_var_clamp_count`], which parallel
+    /// assembly credits its workers' clamps to, so concurrent solves
+    /// cannot inflate it). Also emitted as the `clark_var_clamped` trace
+    /// counter.
     pub clark_var_clamps: u64,
 }
 
@@ -329,7 +330,7 @@ impl<'a> Sizer<'a> {
                     SizeError::PreflightFailed { summary }
                 })?;
         }
-        let clamps_before = sgs_statmath::clark::var_clamp_count();
+        let clamps_before = sgs_statmath::clark::thread_var_clamp_count();
         let n = self.circuit.num_gates();
         let s_start = self.s0.clone().unwrap_or_else(|| vec![1.0; n]);
 
@@ -495,12 +496,11 @@ impl<'a> Sizer<'a> {
         })
     }
 
-    /// Delta of the process-global Clark variance-clamp counter over this
+    /// Delta of the solving thread's Clark variance-clamp tally over this
     /// solve, emitted as the `clark_var_clamped` trace counter. The
-    /// metrics-registry total is maintained at the clamp sites themselves
-    /// (concurrent solves would otherwise double-count overlapping deltas).
+    /// metrics-registry total is maintained at the clamp sites themselves.
     fn emit_clamp_delta(&self, tracer: &Tracer<'a>, before: u64) -> u64 {
-        let delta = sgs_statmath::clark::var_clamp_count().saturating_sub(before);
+        let delta = sgs_statmath::clark::thread_var_clamp_count() - before;
         tracer.emit(|| TraceEvent::Counter {
             name: "clark_var_clamped",
             value: delta,

@@ -20,7 +20,11 @@ use sgs_statmath::{clark, Normal};
 
 /// Minimum gate count before [`ssta`] considers the level-parallel path:
 /// below this, per-level thread dispatch costs more than it saves.
-pub const PAR_GATE_THRESHOLD: usize = 2048;
+/// Measured by the SSTA crossover of `bench_parallel`
+/// (`BENCH_parallel.json`, `ssta_crossover`): on a 2-core host the
+/// levelized sweep was never 10% faster than the sequential one up to
+/// 20,000 gates, so the threshold sits just above that.
+pub const PAR_GATE_THRESHOLD: usize = 20_001;
 
 /// Result of a statistical timing analysis.
 #[derive(Debug, Clone)]

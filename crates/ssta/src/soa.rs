@@ -319,20 +319,27 @@ impl LevelSweeper {
                 let read: &ArrivalSoa = arrivals;
                 #[cfg(feature = "shadow-write")]
                 let shadow = &shadow;
-                chunks[..nchunks]
+                // Clamps fired on the workers are credited back to this
+                // thread, so per-thread clamp tallies stay exact.
+                let clamps: u64 = chunks[..nchunks]
                     .par_iter_mut()
                     .zip(out_mu.par_chunks_mut(LEVEL_CHUNK))
                     .zip(out_var.par_chunks_mut(LEVEL_CHUNK))
                     .enumerate()
-                    .for_each(|(ci, ((scr, omu), ovar))| {
+                    .map(|(ci, ((scr, omu), ovar))| {
                         let start = ci * LEVEL_CHUNK;
                         let gs = &gates[start..start + omu.len()];
                         #[cfg(feature = "shadow-write")]
                         for &g in gs {
                             shadow.stamp(unit0 + ci as u32, g);
                         }
-                        sweep_chunk(circuit, model, s, read, input_arrivals, gs, scr, omu, ovar);
-                    });
+                        clark::take_var_clamps(|| {
+                            sweep_chunk(circuit, model, s, read, input_arrivals, gs, scr, omu, ovar)
+                        })
+                        .1
+                    })
+                    .sum();
+                clark::credit_var_clamps(clamps);
             } else {
                 #[cfg(feature = "shadow-write")]
                 for (j, &g) in gates.iter().enumerate() {

@@ -25,6 +25,7 @@
 
 use crate::dual::{Dual2, Real};
 use crate::normal::Normal;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default variance-smoothing floor added inside `theta^2`.
@@ -34,6 +35,12 @@ pub const DEFAULT_EPS: f64 = 1e-9;
 /// [`var_clamp_count`]).
 static VAR_CLAMP_COUNT: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Clamps fired on (or credited to) this thread; see
+    /// [`thread_var_clamp_count`].
+    static THREAD_CLAMPS: Cell<u64> = const { Cell::new(0) };
+}
+
 /// How many times a Clark evaluation produced a (slightly) negative
 /// `var_C = E[C²] − μ_C²` and clamped it to zero, process-wide since
 /// start.
@@ -41,16 +48,51 @@ static VAR_CLAMP_COUNT: AtomicU64 = AtomicU64::new(0);
 /// The clamp is numerically benign — the true variance is non-negative
 /// and the negative excursion is catastrophic-cancellation noise when one
 /// operand dominates — but it silently discards information, so every
-/// firing is counted. The sizing driver samples this counter around a
-/// solve and reports the delta (`clark_var_clamped` trace counter), which
-/// corroborates the static analyzer's interval findings with runtime data.
-///
-/// Each firing is also pushed into the metrics registry
-/// (`clark_var_clamps`) at the clamp site itself, so the registry total
-/// stays exact even when several solves run concurrently — per-solve
-/// deltas of this process-global counter would overlap and double-count.
+/// firing is counted. Three tallies are kept per firing: this
+/// process-wide total, the calling thread's tally
+/// ([`thread_var_clamp_count`], which is what the sizing driver samples
+/// around one solve) and the metrics registry (`clark_var_clamps`).
 pub fn var_clamp_count() -> u64 {
     VAR_CLAMP_COUNT.load(Ordering::Relaxed)
+}
+
+/// Clamps fired on the calling thread since it started, plus those
+/// credited to it with [`credit_var_clamps`].
+///
+/// Unlike [`var_clamp_count`], other threads cannot move it, so a
+/// before/after delta around a solve is exactly that solve's count even
+/// while other solves run concurrently. A parallel dispatcher keeps the
+/// delta exact by running each work unit under [`take_var_clamps`] and
+/// crediting the sum back to the dispatching thread.
+pub fn thread_var_clamp_count() -> u64 {
+    THREAD_CLAMPS.with(Cell::get)
+}
+
+/// Runs `f` and returns the clamps it fired on the current thread, moving
+/// them *out* of this thread's tally (the process-wide total and the
+/// registry keep them). The caller hands the count to the thread that owns
+/// the work with [`credit_var_clamps`]; this is correct whichever thread
+/// `f` ran on.
+pub fn take_var_clamps<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = thread_var_clamp_count();
+    let r = f();
+    let taken = thread_var_clamp_count() - before;
+    THREAD_CLAMPS.with(|c| c.set(before));
+    (r, taken)
+}
+
+/// Adds `n` clamps, counted on worker threads by [`take_var_clamps`], to
+/// the calling thread's tally. The process-wide total and the registry
+/// already hold them and are not touched.
+pub fn credit_var_clamps(n: u64) {
+    THREAD_CLAMPS.with(|c| c.set(c.get() + n));
+}
+
+/// Publishes `n` fired clamps to all three tallies.
+fn record_clamps(n: u64) {
+    VAR_CLAMP_COUNT.fetch_add(n, Ordering::Relaxed);
+    credit_var_clamps(n);
+    sgs_metrics::add(sgs_metrics::Counter::ClarkVarClamps, n);
 }
 
 /// `var.max(0.0)` that counts actual clamps. Matches `f64::max` exactly,
@@ -61,8 +103,7 @@ fn clamp_var(var: f64) -> f64 {
         var
     } else {
         if var < 0.0 {
-            VAR_CLAMP_COUNT.fetch_add(1, Ordering::Relaxed);
-            sgs_metrics::incr(sgs_metrics::Counter::ClarkVarClamps);
+            record_clamps(1);
         }
         0.0
     }
@@ -207,6 +248,15 @@ fn frame(mu_a: f64, var_a: f64, mu_b: f64, var_b: f64, eps: f64) -> Frame {
         mu_c,
         e2,
     }
+}
+
+/// Clark moments `(mu_c, var_c)` alone, bit-identical to the `mu`/`var`
+/// fields of [`max_grad`] (same frame, same counted clamp). For forward
+/// sweeps that read only the moments, such as the value-only evaluations
+/// of a line search.
+pub fn max_moments(mu_a: f64, var_a: f64, mu_b: f64, var_b: f64, eps: f64) -> (f64, f64) {
+    let f = frame(mu_a, var_a, mu_b, var_b, eps);
+    (f.mu_c, clamp_var(f.e2 - f.mu_c * f.mu_c))
 }
 
 /// Clark moments plus exact gradient, in closed form.
@@ -685,8 +735,8 @@ fn batch_moments_lane(
 /// arrays, the main loop is unrolled [`BATCH_LANES`] wide, and the
 /// expensive `erf`/`exp`-class evaluations (pdf, both cdf orientations)
 /// are hoisted into their own per-lane passes so their latencies overlap.
-/// Clamp firings are accumulated locally and published to the process-wide
-/// counter (see [`var_clamp_count`]) with a single atomic add per call.
+/// Clamp firings are accumulated locally and published to the clamp
+/// tallies (see [`var_clamp_count`]) once per call.
 ///
 /// # Panics
 ///
@@ -762,8 +812,7 @@ pub fn max_batch(
         i += 1;
     }
     if clamped > 0 {
-        VAR_CLAMP_COUNT.fetch_add(clamped, Ordering::Relaxed);
-        sgs_metrics::add(sgs_metrics::Counter::ClarkVarClamps, clamped);
+        record_clamps(clamped);
     }
 }
 
@@ -827,7 +876,7 @@ fn batch_grad_lane(
 /// Bit-identical to calling [`max_grad`] per lane (which computes the
 /// complementary cdf as `1 - Phi(alpha)`, unlike the moment-only path);
 /// the transcendental evaluations are hoisted and the loop unrolled as in
-/// [`max_batch`], and variance clamps are counted with one atomic add.
+/// [`max_batch`], and variance clamps are published once per call.
 ///
 /// # Panics
 ///
@@ -894,8 +943,7 @@ pub fn max_grad_batch(
         i += 1;
     }
     if clamped > 0 {
-        VAR_CLAMP_COUNT.fetch_add(clamped, Ordering::Relaxed);
-        sgs_metrics::add(sgs_metrics::Counter::ClarkVarClamps, clamped);
+        record_clamps(clamped);
     }
 }
 
@@ -969,7 +1017,7 @@ mod batch_tests {
     fn clamp_counter_advances_exactly_as_scalar() {
         let (ma, va, mb, vb) = operands(64);
         // Scalar pass: count clamps the one-pair way.
-        let before = var_clamp_count();
+        let before = thread_var_clamp_count();
         for i in 0..64 {
             let _ = max_eps(
                 Normal::from_mean_var(ma[i], va[i]),
@@ -977,13 +1025,80 @@ mod batch_tests {
                 DEFAULT_EPS,
             );
         }
-        let scalar_clamps = var_clamp_count() - before;
+        let scalar_clamps = thread_var_clamp_count() - before;
         // Batched pass must advance the counter by the same amount.
         let mut om = vec![0.0; 64];
         let mut ov = vec![0.0; 64];
-        let before = var_clamp_count();
+        let before = thread_var_clamp_count();
         max_batch(&ma, &va, &mb, &vb, DEFAULT_EPS, &mut om, &mut ov);
-        assert_eq!(var_clamp_count() - before, scalar_clamps);
+        assert_eq!(thread_var_clamp_count() - before, scalar_clamps);
+    }
+
+    /// [`operands`] plus a pair whose variance cancels below zero in the
+    /// [`frame`] arithmetic (`B` dominates at `alpha ~ -7.4`), so every
+    /// set of 9 lanes fires at least one clamp.
+    fn clamping_operands(n: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
+        let (mut ma, mut va, mut mb, mut vb) = operands(n);
+        for i in (8..n).step_by(9) {
+            ma[i] = 45.819_505_757_673_95;
+            va[i] = 68.475_129_009_259_67f64.powi(2);
+            mb[i] = 549.342_819_022_493_9;
+            vb[i] = 3.915_233_261_414_990_7e-7f64.powi(2);
+        }
+        (ma, va, mb, vb)
+    }
+
+    #[test]
+    fn max_moments_is_max_grad_without_the_gradient() {
+        let (ma, va, mb, vb) = clamping_operands(256);
+        let mut clamps = 0;
+        for i in 0..256 {
+            let before = thread_var_clamp_count();
+            let g = max_grad(ma[i], va[i], mb[i], vb[i], DEFAULT_EPS);
+            let grad_clamps = thread_var_clamp_count() - before;
+            let before = thread_var_clamp_count();
+            let (mu, var) = max_moments(ma[i], va[i], mb[i], vb[i], DEFAULT_EPS);
+            assert_eq!(thread_var_clamp_count() - before, grad_clamps, "pair {i}");
+            assert_eq!(mu.to_bits(), g.mu.to_bits(), "pair {i}");
+            assert_eq!(var.to_bits(), g.var.to_bits(), "pair {i}");
+            clamps += grad_clamps;
+        }
+        assert!(clamps > 0, "the operand set must exercise the clamp");
+    }
+
+    #[test]
+    fn taken_clamps_leave_the_thread_until_credited() {
+        let (ma, va, mb, vb) = clamping_operands(64);
+        let mut om = vec![0.0; 64];
+        let mut ov = vec![0.0; 64];
+        let start = thread_var_clamp_count();
+        max_batch(&ma, &va, &mb, &vb, DEFAULT_EPS, &mut om, &mut ov);
+        let direct = thread_var_clamp_count() - start;
+        assert!(direct > 0);
+
+        let before = thread_var_clamp_count();
+        let ((), taken) = take_var_clamps(|| {
+            max_batch(&ma, &va, &mb, &vb, DEFAULT_EPS, &mut om, &mut ov);
+        });
+        assert_eq!(taken, direct);
+        assert_eq!(
+            thread_var_clamp_count(),
+            before,
+            "taken clamps left the tally"
+        );
+        // Work on another thread never reaches this one's tally, until
+        // its count is credited back.
+        let remote = std::thread::scope(|s| {
+            s.spawn(|| {
+                let (mut om, mut ov) = (vec![0.0; 64], vec![0.0; 64]);
+                take_var_clamps(|| max_batch(&ma, &va, &mb, &vb, DEFAULT_EPS, &mut om, &mut ov)).1
+            })
+            .join()
+            .unwrap()
+        });
+        assert_eq!(thread_var_clamp_count(), before);
+        credit_var_clamps(taken + remote);
+        assert_eq!(thread_var_clamp_count(), before + 2 * direct);
     }
 
     #[test]
