@@ -14,7 +14,7 @@
 //! splits its input into contiguous per-thread blocks and spawns scoped
 //! threads. Results are concatenated in input order, so `map(...)
 //! .collect()` is deterministic and independent of thread count — a
-//! property the deterministic-MC and levelized-SSTA paths rely on.
+//! property the deterministic-MC path relies on.
 
 #![deny(unsafe_code)]
 #![deny(missing_docs)]

@@ -19,12 +19,12 @@
 //!    sparsity patterns *declared* by [`sgs_core::SizingProblem`] are
 //!    cross-checked against the nonzeros actually discovered by
 //!    finite-difference probing at deterministic sample points.
-//! 4. **Parallel determinism** ([`stage4`]): the write plans declared by
-//!    every parallel kernel via [`sgs_core::WritePlan`] — grouped NLP
-//!    assembly, levelized SSTA sweep, Monte Carlo sample partition — are
-//!    proven *disjoint* (no index written by two units) and *covering*
-//!    (every output index written exactly once), and their cross-unit
-//!    reductions are linted against the bit-commutative merge whitelist.
+//! 4. **Parallel determinism** ([`stage4`]): the write plan declared via
+//!    [`sgs_core::WritePlan`] by the one parallel kernel, the Monte Carlo
+//!    sample partition, is proven *disjoint* (no index written by two
+//!    units) and *covering* (every output index written exactly once),
+//!    and its cross-unit reductions are linted against the
+//!    bit-commutative merge whitelist.
 //!    Under the `shadow-write` feature the same codes also surface
 //!    runtime shadow-ledger violations ([`stage4::shadow_diagnostics`]).
 //!
@@ -348,33 +348,35 @@ pub fn analyze(
         record_findings(&report);
         return report;
     }
-    let problem =
-        sgs_core::SizingProblem::build(circuit, lib, objective.clone(), delay_spec.clone());
-    if opts.intervals {
-        let _ph = sgs_metrics::phase(sgs_metrics::Phase::AnalyzeIntervals);
-        report.extend(stage2::interval_checks(circuit, lib, &problem, opts));
-    }
-    if opts.derivatives {
-        let _ph = sgs_metrics::phase(sgs_metrics::Phase::AnalyzeDerivatives);
-        let nv = sgs_nlp::NlpProblem::num_vars(&problem);
-        if nv > opts.max_derivative_vars {
-            report.diagnostics.push(Diagnostic {
-                severity: Severity::Info,
-                code: "SGS-D005",
-                location: "derivative verification".to_string(),
-                message: format!(
-                    "skipped: {nv} variables exceed max_derivative_vars = {}",
-                    opts.max_derivative_vars
-                ),
-                data: vec![("vars", nv.to_string())],
-            });
-        } else {
-            report.extend(stage3::verify_derivatives(&problem, opts));
+    if opts.intervals || opts.derivatives {
+        let problem =
+            sgs_core::SizingProblem::build(circuit, lib, objective.clone(), delay_spec.clone());
+        if opts.intervals {
+            let _ph = sgs_metrics::phase(sgs_metrics::Phase::AnalyzeIntervals);
+            report.extend(stage2::interval_checks(circuit, lib, &problem, opts));
+        }
+        if opts.derivatives {
+            let _ph = sgs_metrics::phase(sgs_metrics::Phase::AnalyzeDerivatives);
+            let nv = sgs_nlp::NlpProblem::num_vars(&problem);
+            if nv > opts.max_derivative_vars {
+                report.diagnostics.push(Diagnostic {
+                    severity: Severity::Info,
+                    code: "SGS-D005",
+                    location: "derivative verification".to_string(),
+                    message: format!(
+                        "skipped: {nv} variables exceed max_derivative_vars = {}",
+                        opts.max_derivative_vars
+                    ),
+                    data: vec![("vars", nv.to_string())],
+                });
+            } else {
+                report.extend(stage3::verify_derivatives(&problem, opts));
+            }
         }
     }
     if opts.plans {
         let _ph = sgs_metrics::phase(sgs_metrics::Phase::AnalyzePlans);
-        report.extend(stage4::verify_plans(circuit, &problem, opts));
+        report.extend(stage4::verify_plans(opts));
     }
     record_findings(&report);
     report

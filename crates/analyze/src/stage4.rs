@@ -3,8 +3,10 @@
 //! The determinism contract of this reproduction — bit-identical results
 //! at any thread count — holds only if every parallel kernel (a) writes
 //! each output index from exactly one parallel unit and (b) merges
-//! cross-unit partial results bit-commutatively. Stage 4 certifies both
-//! statically from the [`sgs_core::WritePlan`] declarations:
+//! cross-unit partial results bit-commutatively. The one parallel kernel
+//! is the Monte Carlo sample loop (NLP assembly and full SSTA are
+//! serial). Stage 4 certifies both properties statically from its
+//! [`sgs_core::WritePlan`] declaration:
 //!
 //! * **Disjointness** (`SGS-P001`): no index is claimed by two different
 //!   units — a write-write race, undefined merge order, and on the
@@ -32,9 +34,8 @@
 //! declaration (or an observed runtime stamp), never a failed proof.
 
 use crate::{AnalyzerOptions, Diagnostic, Severity};
-use sgs_core::{merge_whitelisted, ArrayPlan, KernelPlan, SizingProblem, WritePlan};
-use sgs_netlist::Circuit;
-use sgs_ssta::{LevelSweeper, McPartition};
+use sgs_core::{merge_whitelisted, ArrayPlan, KernelPlan, WritePlan};
+use sgs_ssta::McPartition;
 use sgs_trace::shadow::ShadowReport;
 
 /// Cap on per-array overlap diagnostics, mirroring
@@ -42,27 +43,16 @@ use sgs_trace::shadow::ShadowReport;
 /// offending index is wanted for pinpointing, unbounded streams are not.
 const MAX_OVERLAP_DIAGS: usize = 16;
 
-/// Builds the three plan families the solver stack executes and checks
-/// each: the grouped NLP assembly of `problem`, the levelized SSTA sweep
-/// of `circuit`, and a Monte Carlo partition of
+/// Builds the plan of the one parallel kernel the solver stack executes
+/// and checks it: a Monte Carlo partition of
 /// [`AnalyzerOptions::mc_plan_samples`] samples with criticality
 /// tallying (the configuration with the parallel merge).
-pub fn verify_plans(
-    circuit: &Circuit,
-    problem: &SizingProblem,
-    opts: &AnalyzerOptions,
-) -> Vec<Diagnostic> {
-    let sweeper = LevelSweeper::new(circuit);
-    let mc = McPartition::new(opts.mc_plan_samples, true);
-    let plans = [problem.write_plan(), sweeper.write_plan(), mc.write_plan()];
-    let mut out = Vec::new();
-    for plan in &plans {
-        sgs_metrics::incr(sgs_metrics::Counter::AnalyzePlans);
-        let units: usize = plan.arrays.iter().map(|a| a.units.len()).sum();
-        sgs_metrics::add(sgs_metrics::Counter::AnalyzePlanUnits, units as u64);
-        out.extend(check_plan(plan));
-    }
-    out
+pub fn verify_plans(opts: &AnalyzerOptions) -> Vec<Diagnostic> {
+    let plan = McPartition::new(opts.mc_plan_samples, true).write_plan();
+    sgs_metrics::incr(sgs_metrics::Counter::AnalyzePlans);
+    let units: usize = plan.arrays.iter().map(|a| a.units.len()).sum();
+    sgs_metrics::add(sgs_metrics::Counter::AnalyzePlanUnits, units as u64);
+    check_plan(&plan)
 }
 
 /// Statically checks one kernel's declared plan: every array partition

@@ -1,55 +1,43 @@
 //! Dynamic shadow-write detection end to end (`--features shadow-write`):
-//! the levelized sweep stamps the shadow ledger as it writes, a planted
-//! `corrupt_overlap_gate` stamp shows up as a runtime overlap, and
-//! [`sgs_analyze::stage4::shadow_diagnostics`] turns the ledger report
-//! into an `SGS-P006` Error naming the gate and both units.
+//! the Monte Carlo sample loop — the one parallel kernel — stamps the
+//! `sgs_trace::shadow` ledger on every sample it writes, so a real
+//! execution, not just the declared plan, proves its partition disjoint
+//! and covering at whatever thread count `RAYON_NUM_THREADS` pins (CI
+//! sweeps 1/2/4/8), and [`sgs_analyze::stage4::shadow_diagnostics`] finds
+//! nothing to report for it. Planted overlaps becoming `SGS-P006` are
+//! covered by `stage4::shadow_reports_become_p006` and the
+//! `sgs_trace::shadow` unit tests.
 #![cfg(feature = "shadow-write")]
 
 use sgs_analyze::stage4::shadow_diagnostics;
 use sgs_netlist::{generate, Library};
-use sgs_ssta::{ArrivalSoa, DelayModel, LevelSweeper};
+use sgs_ssta::{monte_carlo, McOptions};
 use sgs_trace::shadow;
-use std::sync::Mutex;
-
-/// The shadow registry is process-global; tests must not interleave.
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn sweep_once(sweeper: &mut LevelSweeper, c: &sgs_netlist::Circuit) {
-    let lib = Library::paper_default();
-    let model = DelayModel::new(c, &lib);
-    let s = vec![1.25; c.num_gates()];
-    let mut arrivals = ArrivalSoa::zeroed(c.num_gates());
-    sweeper.sweep(c, &model, &s, None, &mut arrivals);
-}
 
 #[test]
-fn clean_sweep_yields_no_p006() {
-    let _g = LOCK.lock().unwrap();
+fn mc_run_stamps_a_clean_covering_ledger_and_no_p006() {
     shadow::reset();
     let c = generate::ripple_carry_adder(16);
-    sweep_once(&mut LevelSweeper::new(&c), &c);
-    let reports = shadow::take_reports();
-    assert!(!reports.is_empty(), "sweep must stamp the ledger");
-    assert!(reports.iter().all(|r| r.is_clean()));
-    assert!(shadow_diagnostics(&reports).is_empty());
-}
-
-#[test]
-fn planted_runtime_overlap_becomes_p006() {
-    let _g = LOCK.lock().unwrap();
-    shadow::reset();
-    let c = generate::ripple_carry_adder(16);
-    let mut sweeper = LevelSweeper::new(&c);
-    let pos = c.num_gates() / 2;
-    sweeper.corrupt_overlap_gate(pos);
-    sweep_once(&mut sweeper, &c);
-    let reports = shadow::take_reports();
-    let d = shadow_diagnostics(&reports);
-    assert!(
-        d.iter().any(|d| d.code == "SGS-P006"),
-        "planted overlap not caught: {reports:?}"
+    let samples = 4096;
+    monte_carlo(
+        &c,
+        &Library::paper_default(),
+        &vec![1.25; c.num_gates()],
+        &McOptions {
+            samples,
+            seed: 7,
+            criticality: true,
+            parallel: true,
+        },
     );
-    let sweeper2 = LevelSweeper::new(&c);
-    let g = sweeper2.schedule().order()[pos];
-    assert!(d.iter().any(|d| d.data.contains(&("index", g.to_string()))));
+
+    let reports = shadow::take_reports();
+    let r = reports
+        .iter()
+        .find(|r| r.kernel == "mc_samples")
+        .unwrap_or_else(|| panic!("no mc_samples ledger: {reports:?}"));
+    assert_eq!(r.len, samples);
+    assert!(r.is_clean(), "mc_samples ledger dirty: {r:?}");
+    assert_eq!(r.writes, samples as u64, "coverage incomplete: {r:?}");
+    assert!(shadow_diagnostics(&reports).is_empty());
 }

@@ -1,21 +1,21 @@
-//! Parallel-engine micro-benchmarks: the multi-threaded Monte Carlo and
-//! levelized SSTA paths against their sequential counterparts, and the
-//! grouped (Clark-pair-sharing) NLP derivative assembly that dominates
-//! solver cost. Results are bit-identical between the compared paths by
-//! construction, so any delta is pure wall-clock.
+//! Parallel-engine micro-benchmarks: the multi-threaded Monte Carlo
+//! sampler against its sequential counterpart (bit-identical by
+//! construction, so any delta is pure wall-clock), and the grouped
+//! (Clark-pair-sharing) NLP derivative assembly that dominates solver
+//! cost.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sgs_core::{DelaySpec, Objective, SizingProblem};
 use sgs_netlist::generate::{self, RandomDagSpec};
 use sgs_netlist::Library;
 use sgs_nlp::NlpProblem;
-use sgs_ssta::{monte_carlo, ssta, ssta_levelized, McOptions};
+use sgs_ssta::{monte_carlo, McOptions};
 
 fn speeds(n: usize) -> Vec<f64> {
     (0..n).map(|i| 1.0 + 0.05 * (i % 37) as f64).collect()
 }
 
-fn bench_mc_and_ssta(c: &mut Criterion) {
+fn bench_mc(c: &mut Criterion) {
     let lib = Library::paper_default();
     let circuit = generate::ripple_carry_adder(64);
     let s = speeds(circuit.num_gates());
@@ -38,12 +38,6 @@ fn bench_mc_and_ssta(c: &mut Criterion) {
             })
         });
     }
-    g.bench_function("ssta_sequential", |b| {
-        b.iter(|| ssta(black_box(&circuit), &lib, &s))
-    });
-    g.bench_function("ssta_levelized", |b| {
-        b.iter(|| ssta_levelized(black_box(&circuit), &lib, &s))
-    });
     g.finish();
 }
 
@@ -81,5 +75,5 @@ fn bench_nlp_assembly(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_mc_and_ssta, bench_nlp_assembly);
+criterion_group!(benches, bench_mc, bench_nlp_assembly);
 criterion_main!(benches);

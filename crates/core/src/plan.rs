@@ -4,38 +4,26 @@
 //! at any thread count — rests on each parallel kernel partitioning its
 //! output arrays into disjoint, covering per-unit write sets, and on
 //! every cross-unit merge being bit-commutative. Those properties used to
-//! live only in hand-maintained index arithmetic (`split_at_mut` offsets,
-//! chunk bounds, level schedules). This module makes them *declarative*:
-//! the [`WritePlan`] trait exports, for each kernel, the concrete
-//! half-open index intervals every parallel unit writes, plus the
-//! reductions it performs, so the stage-4 certifier in `sgs-analyze` can
-//! statically prove disjointness and coverage and lint the merges against
-//! the bit-commutative whitelist.
+//! live only in hand-maintained index arithmetic (chunk bounds). This
+//! module makes them *declarative*: the [`WritePlan`] trait exports, for
+//! each kernel, the concrete half-open index intervals every parallel
+//! unit writes, plus the reductions it performs, so the stage-4 certifier
+//! in `sgs-analyze` can statically prove disjointness and coverage and
+//! lint the merges against the bit-commutative whitelist.
 //!
-//! Three plan families are implemented here:
+//! One plan family is implemented here: [`McPartition`], the Monte Carlo
+//! `par_chunks_mut` sample partition with its exact-`u64` criticality
+//! merge — the one parallel kernel left (NLP assembly and full SSTA are
+//! serial; DESIGN.md §9 records why).
 //!
-//! - [`SizingProblem`] — the grouped CSR constraint/Jacobian/Hessian
-//!   assembly (one unit per evaluation group, intervals from the
-//!   `jac_off`/`hess_off` prefix offsets that drive `fill_groups_par`);
-//! - [`LevelSweeper`] — the levelized SoA sweep (one unit per
-//!   `(level, chunk)` pair over the shared counting-sort
-//!   [`sgs_ssta::LevelSchedule`]);
-//! - [`McPartition`] — the Monte Carlo `par_chunks_mut` sample partition
-//!   with its exact-`u64` criticality merge.
-//!
-//! The declared plans are exactly what the kernels execute — the chunk
-//! arithmetic is shared ([`rayon::chunk_bounds`], `LEVEL_CHUNK`, the same
-//! offset arrays), and the cfg-gated shadow-write detector
-//! (`sgs_trace::shadow`) cross-checks the declaration against stamped
-//! writes at runtime. The `corrupt_overlap_*` hooks on each implementor
-//! plant a false claim in the declaration (and, where applicable, in the
-//! shadow stamps) so the mutation battery can prove planted races are
-//! caught.
+//! The declared plan is exactly what the kernel executes — the chunk
+//! arithmetic is shared ([`rayon::chunk_bounds`]), and the cfg-gated
+//! shadow-write detector (`sgs_trace::shadow`) cross-checks the
+//! declaration against stamped writes at runtime. The `corrupt_*` hooks
+//! on [`McPartition`] plant a false claim in the declaration so the
+//! mutation battery can prove planted races are caught.
 
-use crate::problem::SizingProblem;
-use sgs_nlp::NlpProblem;
 use sgs_ssta::monte_carlo::{McPartition, CHUNK};
-use sgs_ssta::{LevelSweeper, LEVEL_CHUNK};
 
 /// How a cross-unit merge combines per-unit partial results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,135 +102,6 @@ pub trait WritePlan {
     fn write_plan(&self) -> KernelPlan;
 }
 
-/// Compresses a sorted index list into maximal half-open intervals.
-fn runs(sorted: &[usize]) -> Vec<(usize, usize)> {
-    let mut out: Vec<(usize, usize)> = Vec::new();
-    for &i in sorted {
-        match out.last_mut() {
-            Some(last) if last.1 == i => last.1 = i + 1,
-            _ => out.push((i, i + 1)),
-        }
-    }
-    out
-}
-
-impl WritePlan for SizingProblem {
-    /// The grouped disjoint-slice assembly: one parallel unit per
-    /// evaluation group, writing `groups[g]`'s contiguous residual slice
-    /// and its `jac_off`/`hess_off` value blocks. The Hessian's objective
-    /// block is written by the dispatching caller before the parallel
-    /// fan-out; it appears as its own (sequential) unit.
-    fn write_plan(&self) -> KernelPlan {
-        let groups = self.plan_groups();
-        let jac_off = self.plan_jac_off();
-        let hess_off = self.plan_hess_off();
-        let obj_len = self.plan_obj_hess_len();
-        let ncons = self.num_constraints();
-
-        let mut con_units = Vec::with_capacity(groups.len());
-        let mut jac_units = Vec::with_capacity(groups.len());
-        let mut hess_units = Vec::with_capacity(groups.len() + 1);
-        if obj_len > 0 {
-            hess_units.push(WriteUnit {
-                label: "objective block".to_string(),
-                writes: vec![(0, obj_len)],
-            });
-        }
-        for (g, &(start, len)) in groups.iter().enumerate() {
-            con_units.push(WriteUnit {
-                label: format!("group {g}"),
-                writes: vec![(start, start + len)],
-            });
-            let mut jac_end = jac_off[start + len];
-            if self.plan_corrupt_jac_overlap() == Some(g) {
-                // Planted race: this group also claims its neighbour's
-                // first entry (or one past the array on the last group).
-                jac_end += 1;
-            }
-            jac_units.push(WriteUnit {
-                label: format!("group {g}"),
-                writes: vec![(jac_off[start], jac_end)],
-            });
-            let mut hess_end = obj_len + hess_off[start + len];
-            if self.plan_corrupt_hess_overlap() == Some(g) {
-                hess_end += 1;
-            }
-            hess_units.push(WriteUnit {
-                label: format!("group {g}"),
-                writes: vec![(obj_len + hess_off[start], hess_end)],
-            });
-        }
-        KernelPlan {
-            kernel: "assembly",
-            arrays: vec![
-                ArrayPlan {
-                    array: "constraints",
-                    len: ncons,
-                    units: con_units,
-                },
-                ArrayPlan {
-                    array: "jacobian_vals",
-                    len: *jac_off.last().unwrap(),
-                    units: jac_units,
-                },
-                ArrayPlan {
-                    array: "hessian_vals",
-                    len: obj_len + *hess_off.last().unwrap(),
-                    units: hess_units,
-                },
-            ],
-            // Clark variance clamps fire inside parallel groups; they are
-            // tallied by exact u64 atomic addition in sgs-metrics and
-            // summed back to the dispatching thread's tally.
-            reductions: vec![ReductionDecl {
-                name: "clark_var_clamp_count",
-                parallel: true,
-                kind: MergeKind::ExactU64Sum,
-            }],
-        }
-    }
-}
-
-impl WritePlan for LevelSweeper {
-    /// The levelized sweep: one parallel unit per `(level, chunk)` pair
-    /// of the shared counting-sort schedule, each writing the arrival
-    /// slots of its chunk's gate ids. Proving this partition disjoint +
-    /// covering certifies the one `LevelSchedule` implementation that
-    /// also orders the incremental engine's dirty drain.
-    fn write_plan(&self) -> KernelPlan {
-        let sched = self.schedule();
-        let mut units = Vec::new();
-        for l in 0..sched.num_levels() {
-            let gates = sched.level(l);
-            for (ci, chunk) in gates.chunks(LEVEL_CHUNK).enumerate() {
-                units.push(WriteUnit {
-                    label: format!("level {l} chunk {ci}"),
-                    // Gate ids ascend within a level, so `runs` sees a
-                    // sorted list.
-                    writes: runs(chunk),
-                });
-            }
-        }
-        if let Some(pos) = self.corrupt_overlap() {
-            // Planted race: a phantom second unit claims this gate.
-            let g = sched.order()[pos];
-            units.push(WriteUnit {
-                label: format!("phantom duplicate of gate {g}"),
-                writes: vec![(g, g + 1)],
-            });
-        }
-        KernelPlan {
-            kernel: "level_sweep",
-            arrays: vec![ArrayPlan {
-                array: "arrivals",
-                len: sched.num_gates(),
-                units,
-            }],
-            reductions: Vec::new(),
-        }
-    }
-}
-
 impl WritePlan for McPartition {
     /// The Monte Carlo sample loop: one parallel unit per
     /// `par_chunks_mut(CHUNK)` chunk ([`rayon::chunk_bounds`] — the same
@@ -300,17 +159,6 @@ impl WritePlan for McPartition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{DelaySpec, Objective};
-    use sgs_netlist::{generate, Library};
-
-    fn problem() -> SizingProblem {
-        SizingProblem::build(
-            &generate::ripple_carry_adder(8),
-            &Library::paper_default(),
-            Objective::Area,
-            DelaySpec::MaxMean(40.0),
-        )
-    }
 
     fn covers_exactly(plan: &ArrayPlan) {
         let mut hits = vec![0u32; plan.len];
@@ -327,29 +175,6 @@ mod tests {
             "{}: partition not exact",
             plan.array
         );
-    }
-
-    #[test]
-    fn assembly_plan_partitions_all_three_arrays() {
-        let p = problem();
-        let plan = p.write_plan();
-        assert_eq!(plan.kernel, "assembly");
-        assert_eq!(plan.arrays.len(), 3);
-        for a in &plan.arrays {
-            assert!(a.len > 0);
-            covers_exactly(a);
-        }
-        assert!(plan.reductions.iter().all(|r| merge_whitelisted(r.kind)));
-    }
-
-    #[test]
-    fn sweep_plan_partitions_arrivals() {
-        let c = generate::ripple_carry_adder(16);
-        let sweeper = sgs_ssta::LevelSweeper::new(&c);
-        let plan = sweeper.write_plan();
-        assert_eq!(plan.arrays.len(), 1);
-        assert_eq!(plan.arrays[0].len, c.num_gates());
-        covers_exactly(&plan.arrays[0]);
     }
 
     #[test]
@@ -374,12 +199,12 @@ mod tests {
 
     #[test]
     fn corrupt_hooks_break_the_partition() {
-        let mut p = problem();
-        p.corrupt_overlap_jacobian_group(0);
-        let plan = p.write_plan();
-        let jac = &plan.arrays[1];
-        let mut hits = vec![0u32; jac.len];
-        for u in &jac.units {
+        let mut mc = McPartition::new(4096, true);
+        mc.corrupt_overlap_chunk(0);
+        let plan = mc.write_plan();
+        let samples = &plan.arrays[0];
+        let mut hits = vec![0u32; samples.len + 1];
+        for u in &samples.units {
             for &(s, e) in &u.writes {
                 for h in &mut hits[s..e] {
                     *h += 1;

@@ -123,8 +123,8 @@ pub struct SizingResult {
     pub evals: EvalCounts,
     /// How many Clark-max evaluations clamped a negative variance to zero
     /// during this solve (delta of the solving thread's
-    /// [`sgs_statmath::clark::thread_var_clamp_count`], which parallel
-    /// assembly credits its workers' clamps to, so concurrent solves
+    /// [`sgs_statmath::clark::thread_var_clamp_count`]; every Clark
+    /// evaluation of a solve runs on that thread, so concurrent solves
     /// cannot inflate it). Also emitted as the `clark_var_clamped` trace
     /// counter.
     pub clark_var_clamps: u64,

@@ -9,11 +9,6 @@
 //!    and `H v` against central differences of the exact Lagrangian
 //!    gradient along a pseudo-random direction `v` — cheap enough to run
 //!    at the larger sizes.
-//!
-//! Every check runs through BOTH constraint-assembly paths — sequential
-//! (`set_par_threshold(usize::MAX)`) and grouped-parallel
-//! (`set_par_threshold(0)` with a 2-thread pool) — and the two paths are
-//! additionally asserted bit-identical, not just FD-consistent.
 
 use sgs_core::{DelaySpec, Objective, SizingProblem};
 use sgs_netlist::generate::{self, RandomDagSpec};
@@ -34,15 +29,6 @@ fn dag(cells: usize, inputs: usize, depth: usize, seed: u64) -> Circuit {
         seed,
         ..Default::default()
     })
-}
-
-/// Forces a 2-thread pool so the grouped-parallel assembly path genuinely
-/// fans out even on a single-core host (first caller wins; idempotent).
-fn force_two_threads() {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(2)
-        .build_global()
-        .ok();
 }
 
 /// splitmix64: deterministic stream for evaluation points and directions.
@@ -146,18 +132,6 @@ fn directional_errors(
     (worst_j, worst_h)
 }
 
-/// Builds the problem with the requested assembly path forced.
-fn build(circuit: &Circuit, obj: Objective, spec: DelaySpec, parallel: bool) -> SizingProblem {
-    let mut p = SizingProblem::build(circuit, &lib(), obj, spec);
-    if parallel {
-        force_two_threads();
-        p.set_par_threshold(0);
-    } else {
-        p.set_par_threshold(usize::MAX);
-    }
-    p
-}
-
 fn objectives() -> Vec<(Objective, DelaySpec)> {
     vec![
         (Objective::Area, DelaySpec::MaxMean(40.0)),
@@ -170,27 +144,22 @@ fn objectives() -> Vec<(Objective, DelaySpec)> {
 }
 
 #[test]
-fn dense_fd_check_small_circuits_both_paths() {
+fn dense_fd_check_small_circuits() {
     // Full dense FD sweep is O(n) evaluations per entry — keep it small.
     for (cells, inputs, depth, seed) in [(5, 2, 2, 11), (9, 3, 3, 23), (16, 4, 4, 37)] {
         let c = dag(cells, inputs, depth, seed);
         for (obj, spec) in objectives() {
-            for parallel in [false, true] {
-                let p = build(&c, obj.clone(), spec.clone(), parallel);
-                let x = interior_point(&p, seed);
-                let lambda = multipliers(p.num_constraints(), seed);
-                let r = check_derivatives(&p, &x, &lambda, 1e-6);
-                assert!(
-                    r.within(5e-6),
-                    "{cells} cells, {obj:?}/{spec:?}, parallel={parallel}: {r:?}"
-                );
-            }
+            let p = SizingProblem::build(&c, &lib(), obj.clone(), spec.clone());
+            let x = interior_point(&p, seed);
+            let lambda = multipliers(p.num_constraints(), seed);
+            let r = check_derivatives(&p, &x, &lambda, 1e-6);
+            assert!(r.within(5e-6), "{cells} cells, {obj:?}/{spec:?}: {r:?}");
         }
     }
 }
 
 #[test]
-fn directional_fd_check_up_to_fifty_gates_both_paths() {
+fn directional_fd_check_up_to_fifty_gates() {
     for (cells, inputs, depth, seed) in [
         (5, 2, 2, 101),
         (12, 4, 3, 202),
@@ -199,65 +168,15 @@ fn directional_fd_check_up_to_fifty_gates_both_paths() {
     ] {
         let c = dag(cells, inputs, depth, seed);
         for (obj, spec) in objectives() {
-            for parallel in [false, true] {
-                let p = build(&c, obj.clone(), spec.clone(), parallel);
-                let x = interior_point(&p, seed);
-                let lambda = multipliers(p.num_constraints(), seed);
-                let v = direction(p.num_vars(), seed);
-                let (ej, eh) = directional_errors(&p, &x, &lambda, &v, 1e-6);
-                assert!(
-                    ej < 5e-6 && eh < 5e-6,
-                    "{cells} cells, {obj:?}/{spec:?}, parallel={parallel}: jac {ej:.2e} hess {eh:.2e}"
-                );
-            }
+            let p = SizingProblem::build(&c, &lib(), obj.clone(), spec.clone());
+            let x = interior_point(&p, seed);
+            let lambda = multipliers(p.num_constraints(), seed);
+            let v = direction(p.num_vars(), seed);
+            let (ej, eh) = directional_errors(&p, &x, &lambda, &v, 1e-6);
+            assert!(
+                ej < 5e-6 && eh < 5e-6,
+                "{cells} cells, {obj:?}/{spec:?}: jac {ej:.2e} hess {eh:.2e}"
+            );
         }
     }
-}
-
-#[test]
-fn serial_and_parallel_assembly_bit_identical() {
-    force_two_threads();
-    let c = dag(50, 8, 7, 505);
-    for (obj, spec) in objectives() {
-        let ser = build(&c, obj.clone(), spec.clone(), false);
-        let par = build(&c, obj.clone(), spec.clone(), true);
-        let x = interior_point(&ser, 505);
-
-        assert_eq!(
-            ser.objective(&x).to_bits(),
-            par.objective(&x).to_bits(),
-            "{obj:?}: objective"
-        );
-        let mut gs = vec![0.0; ser.num_vars()];
-        let mut gp = vec![0.0; par.num_vars()];
-        ser.gradient(&x, &mut gs);
-        par.gradient(&x, &mut gp);
-        assert_eq!(bits(&gs), bits(&gp), "{obj:?}: gradient");
-
-        let m = ser.num_constraints();
-        let mut cs = vec![0.0; m];
-        let mut cp = vec![0.0; m];
-        ser.constraints(&x, &mut cs);
-        par.constraints(&x, &mut cp);
-        assert_eq!(bits(&cs), bits(&cp), "{obj:?}: constraints");
-
-        assert_eq!(ser.jacobian_structure(), par.jacobian_structure());
-        let mut js = vec![0.0; ser.jacobian_structure().len()];
-        let mut jp = vec![0.0; js.len()];
-        ser.jacobian_values(&x, &mut js);
-        par.jacobian_values(&x, &mut jp);
-        assert_eq!(bits(&js), bits(&jp), "{obj:?}: jacobian");
-
-        let lambda = multipliers(m, 505);
-        assert_eq!(ser.hessian_structure(), par.hessian_structure());
-        let mut hs = vec![0.0; ser.hessian_structure().len()];
-        let mut hp = vec![0.0; hs.len()];
-        ser.hessian_values(&x, 0.7, &lambda, &mut hs);
-        par.hessian_values(&x, 0.7, &lambda, &mut hp);
-        assert_eq!(bits(&hs), bits(&hp), "{obj:?}: hessian");
-    }
-}
-
-fn bits(xs: &[f64]) -> Vec<u64> {
-    xs.iter().map(|v| v.to_bits()).collect()
 }

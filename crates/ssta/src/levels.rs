@@ -1,20 +1,15 @@
 //! The shared counting-sort level schedule.
 //!
-//! Both consumers of topological levels — the level-batched SoA sweep
-//! ([`crate::soa::LevelSweeper`]) and the incremental engine's dirty-cone
-//! drain ([`crate::incremental::IncrementalSsta`]) — used to build their
-//! own ordering over `Circuit::levels()`. This module extracts the
-//! counting-sort CSR construction into one [`LevelSchedule`] so there is
-//! exactly one level-schedule implementation for the stage-4 determinism
-//! certifier (`sgs-analyze`) to certify: the schedule's per-level gate
-//! sets are the write partition of the levelized sweep, and proving them
-//! disjoint + covering proves it for every consumer at once.
+//! The incremental engine's dirty-cone drain
+//! ([`crate::incremental::IncrementalSsta`]) walks gates level by level;
+//! this module holds its counting-sort CSR construction over
+//! `Circuit::levels()`.
 //!
 //! The construction is a stable counting sort: gates are bucketed by
 //! level and, within a level, kept in ascending gate-id order (ids are
 //! visited in order). Both properties are load-bearing — level order is
-//! the dependency order of the sweep, and ascending ids within a level
-//! fix the fold order the bit-identity contract pins.
+//! the dependency order of the drain, and ascending ids within a level
+//! fix the recomputation order the bit-identity contract pins.
 
 use sgs_netlist::Circuit;
 
@@ -80,29 +75,10 @@ impl LevelSchedule {
         self.level_of[g]
     }
 
-    /// CSR starts into [`LevelSchedule::order`], one per level plus the
-    /// end sentinel.
-    pub fn level_ptr(&self) -> &[usize] {
-        &self.level_ptr
-    }
-
-    /// Gate ids grouped by level, ascending within each level.
-    pub fn order(&self) -> &[usize] {
-        &self.order
-    }
-
     /// The gate ids of level `l`.
     #[inline]
     pub fn level(&self, l: usize) -> &[usize] {
         &self.order[self.level_ptr[l]..self.level_ptr[l + 1]]
-    }
-
-    /// Width of the widest level.
-    pub fn widest(&self) -> usize {
-        (0..self.num_levels())
-            .map(|l| self.level_ptr[l + 1] - self.level_ptr[l])
-            .max()
-            .unwrap_or(0)
     }
 }
 
@@ -137,7 +113,6 @@ mod tests {
                 }
             }
             assert!(seen.iter().all(|&s| s), "coverage");
-            assert!(sched.widest() >= 1);
         }
     }
 
@@ -145,7 +120,6 @@ mod tests {
     fn empty_circuit_schedule_is_empty() {
         let sched = LevelSchedule::from_levels(Vec::new());
         assert_eq!(sched.num_gates(), 0);
-        assert_eq!(sched.widest(), 0);
         assert_eq!(sched.num_levels(), 1);
         assert!(sched.level(0).is_empty());
     }

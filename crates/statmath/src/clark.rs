@@ -36,8 +36,7 @@ pub const DEFAULT_EPS: f64 = 1e-9;
 static VAR_CLAMP_COUNT: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
-    /// Clamps fired on (or credited to) this thread; see
-    /// [`thread_var_clamp_count`].
+    /// Clamps fired on this thread; see [`thread_var_clamp_count`].
     static THREAD_CLAMPS: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -56,42 +55,21 @@ pub fn var_clamp_count() -> u64 {
     VAR_CLAMP_COUNT.load(Ordering::Relaxed)
 }
 
-/// Clamps fired on the calling thread since it started, plus those
-/// credited to it with [`credit_var_clamps`].
+/// Clamps fired on the calling thread since it started.
 ///
 /// Unlike [`var_clamp_count`], other threads cannot move it, so a
 /// before/after delta around a solve is exactly that solve's count even
-/// while other solves run concurrently. A parallel dispatcher keeps the
-/// delta exact by running each work unit under [`take_var_clamps`] and
-/// crediting the sum back to the dispatching thread.
+/// while other solves run concurrently. Every Clark evaluation of a solve
+/// (NLP assembly, full and incremental SSTA) runs on the solving thread,
+/// so the delta misses none of them.
 pub fn thread_var_clamp_count() -> u64 {
     THREAD_CLAMPS.with(Cell::get)
-}
-
-/// Runs `f` and returns the clamps it fired on the current thread, moving
-/// them *out* of this thread's tally (the process-wide total and the
-/// registry keep them). The caller hands the count to the thread that owns
-/// the work with [`credit_var_clamps`]; this is correct whichever thread
-/// `f` ran on.
-pub fn take_var_clamps<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = thread_var_clamp_count();
-    let r = f();
-    let taken = thread_var_clamp_count() - before;
-    THREAD_CLAMPS.with(|c| c.set(before));
-    (r, taken)
-}
-
-/// Adds `n` clamps, counted on worker threads by [`take_var_clamps`], to
-/// the calling thread's tally. The process-wide total and the registry
-/// already hold them and are not touched.
-pub fn credit_var_clamps(n: u64) {
-    THREAD_CLAMPS.with(|c| c.set(c.get() + n));
 }
 
 /// Publishes `n` fired clamps to all three tallies.
 fn record_clamps(n: u64) {
     VAR_CLAMP_COUNT.fetch_add(n, Ordering::Relaxed);
-    credit_var_clamps(n);
+    THREAD_CLAMPS.with(|c| c.set(c.get() + n));
     sgs_metrics::add(sgs_metrics::Counter::ClarkVarClamps, n);
 }
 
@@ -1067,7 +1045,7 @@ mod batch_tests {
     }
 
     #[test]
-    fn taken_clamps_leave_the_thread_until_credited() {
+    fn other_threads_clamps_stay_off_this_threads_tally() {
         let (ma, va, mb, vb) = clamping_operands(64);
         let mut om = vec![0.0; 64];
         let mut ov = vec![0.0; 64];
@@ -1077,28 +1055,18 @@ mod batch_tests {
         assert!(direct > 0);
 
         let before = thread_var_clamp_count();
-        let ((), taken) = take_var_clamps(|| {
-            max_batch(&ma, &va, &mb, &vb, DEFAULT_EPS, &mut om, &mut ov);
-        });
-        assert_eq!(taken, direct);
-        assert_eq!(
-            thread_var_clamp_count(),
-            before,
-            "taken clamps left the tally"
-        );
-        // Work on another thread never reaches this one's tally, until
-        // its count is credited back.
         let remote = std::thread::scope(|s| {
             s.spawn(|| {
                 let (mut om, mut ov) = (vec![0.0; 64], vec![0.0; 64]);
-                take_var_clamps(|| max_batch(&ma, &va, &mb, &vb, DEFAULT_EPS, &mut om, &mut ov)).1
+                let start = thread_var_clamp_count();
+                max_batch(&ma, &va, &mb, &vb, DEFAULT_EPS, &mut om, &mut ov);
+                thread_var_clamp_count() - start
             })
             .join()
             .unwrap()
         });
-        assert_eq!(thread_var_clamp_count(), before);
-        credit_var_clamps(taken + remote);
-        assert_eq!(thread_var_clamp_count(), before + 2 * direct);
+        assert_eq!(remote, direct, "the worker counts its own clamps");
+        assert_eq!(thread_var_clamp_count(), before, "and only its own");
     }
 
     #[test]

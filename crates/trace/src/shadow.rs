@@ -16,9 +16,8 @@
 //! Findings accumulate in a process-global registry, merged per
 //! `(kernel, len)`, and are drained deterministically (sorted, bounded)
 //! by [`take_reports`]. `sgs-analyze` converts them into `SGS-P006`
-//! diagnostics; the CI thread matrix runs the golden-transcript suite
-//! with this feature enabled so every committed kernel is exercised
-//! under checking mode.
+//! diagnostics; the CI thread matrix runs the Monte Carlo kernel (the one
+//! parallel kernel) with this feature enabled at 1/2/4/8 threads.
 //!
 //! Without the feature, only the report *types* are compiled (so the
 //! analyzer can always talk about shadow results); no stamping code

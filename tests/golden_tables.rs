@@ -3,7 +3,7 @@
 //! Each case sizes a fixed circuit under a fixed objective/constraint and
 //! snapshots `(mu, sigma, area)` — the three columns of the paper's
 //! Tables 1-3 — into `tests/golden/*.txt`. The solver is deterministic
-//! (seeded circuits, bit-identical parallel assembly, no wall-clock
+//! (seeded circuits, serial assembly, no wall-clock
 //! dependence in the iterates), so the snapshot is asserted to 1e-9:
 //! any numerical drift in the statistical model, the formulation or the
 //! solver shows up as a diff here before it shows up as a silently wrong

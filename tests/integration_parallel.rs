@@ -1,13 +1,11 @@
 //! Integration: the parallel evaluation engine is an implementation
-//! detail. Monte Carlo, levelized SSTA and the NLP assembly paths must
-//! produce results bit-identical to their sequential counterparts and
-//! invariant to the configured thread count — parallelism may only change
-//! wall-clock time, never a single bit of output.
+//! detail. Monte Carlo, the one parallel path (NLP assembly and full SSTA
+//! are serial), must produce results bit-identical to its sequential
+//! counterpart and invariant to the configured thread count — parallelism
+//! may only change wall-clock time, never a single bit of output.
 
-use sgs_core::{DelaySpec, Objective, SizingProblem};
-use sgs_netlist::{generate, Circuit, Library};
-use sgs_nlp::NlpProblem;
-use sgs_ssta::{monte_carlo, ssta, ssta_levelized, McOptions};
+use sgs_netlist::{generate, Library};
+use sgs_ssta::{monte_carlo, McOptions};
 
 fn lib() -> Library {
     Library::paper_default()
@@ -16,17 +14,6 @@ fn lib() -> Library {
 /// A deterministic, non-uniform speed-factor vector.
 fn speeds(n: usize) -> Vec<f64> {
     (0..n).map(|i| 1.0 + 0.05 * (i % 37) as f64).collect()
-}
-
-fn random_dag() -> Circuit {
-    generate::random_dag(&sgs_netlist::generate::RandomDagSpec {
-        name: "par".into(),
-        cells: 60,
-        inputs: 10,
-        depth: 8,
-        seed: 42,
-        ..Default::default()
-    })
 }
 
 fn force_threads(n: usize) {
@@ -77,220 +64,4 @@ fn parallel_mc_bit_identical_and_thread_invariant() {
             "criticality differs at {threads}"
         );
     }
-}
-
-#[test]
-fn levelized_ssta_matches_sequential() {
-    for c in [
-        generate::tree7(),
-        generate::ripple_carry_adder(8),
-        random_dag(),
-    ] {
-        let s = speeds(c.num_gates());
-        let seq = ssta(&c, &lib(), &s);
-        let lev = ssta_levelized(&c, &lib(), &s);
-        assert!(
-            (seq.delay.mean() - lev.delay.mean()).abs() < 1e-12,
-            "{}: mean {} vs {}",
-            c.name(),
-            seq.delay.mean(),
-            lev.delay.mean()
-        );
-        assert!(
-            (seq.delay.var() - lev.delay.var()).abs() < 1e-12,
-            "{}: var differs",
-            c.name()
-        );
-        for (a, b) in seq.arrivals.iter().zip(&lev.arrivals) {
-            assert!(
-                (a.mean() - b.mean()).abs() < 1e-12,
-                "{}: arrival mean",
-                c.name()
-            );
-            assert!(
-                (a.var() - b.var()).abs() < 1e-12,
-                "{}: arrival var",
-                c.name()
-            );
-        }
-    }
-}
-
-#[test]
-fn nlp_assembly_thread_invariant() {
-    // The measured dispatch threshold keeps formulations of this size
-    // serial, so the parallel path is forced; it then fans out whenever
-    // more than one thread is configured.
-    let c = generate::random_dag(&sgs_netlist::generate::RandomDagSpec {
-        name: "nlp-par".into(),
-        cells: 150,
-        inputs: 16,
-        depth: 10,
-        seed: 7,
-        ..Default::default()
-    });
-    let mut p = SizingProblem::build(
-        &c,
-        &lib(),
-        Objective::MeanPlusKSigma(3.0),
-        DelaySpec::MaxMeanPlusKSigma { k: 3.0, d: 60.0 },
-    );
-    p.set_par_threshold(0);
-    assert!(p.assembles_in_parallel(2), "want the parallel path");
-    let x = p.initial_point(&speeds(c.num_gates()));
-    let lambda: Vec<f64> = (0..p.num_constraints())
-        .map(|i| 0.4 * ((i as f64 * 0.7).sin()))
-        .collect();
-
-    let eval = |threads: usize| {
-        force_threads(threads);
-        let mut con = vec![0.0; p.num_constraints()];
-        let mut jac = vec![0.0; p.jacobian_structure().len()];
-        let mut hes = vec![0.0; p.hessian_structure().len()];
-        p.constraints(&x, &mut con);
-        p.jacobian_values(&x, &mut jac);
-        p.hessian_values(&x, 1.0, &lambda, &mut hes);
-        (bits(&con), bits(&jac), bits(&hes))
-    };
-
-    let base = eval(1); // sequential sweep
-    for threads in [2usize, 4, 8] {
-        let par = eval(threads);
-        assert_eq!(par.0, base.0, "constraints differ at {threads} threads");
-        assert_eq!(par.1, base.1, "jacobian differs at {threads} threads");
-        assert_eq!(par.2, base.2, "hessian differs at {threads} threads");
-    }
-}
-
-/// The integer value of `"key": N` inside the `"section"` object of the
-/// committed `BENCH_parallel.json`.
-fn committed_crossover(section: &str, key: &str) -> usize {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_parallel.json");
-    let text = std::fs::read_to_string(&path).expect("BENCH_parallel.json is committed");
-    let body = &text[text
-        .find(&format!("\"{section}\""))
-        .unwrap_or_else(|| panic!("BENCH_parallel.json has no {section}"))..];
-    let at = body.find(&format!("\"{key}\": ")).expect("key in section") + key.len() + 4;
-    let digits: String = body[at..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().expect("integer threshold")
-}
-
-/// The compiled dispatch thresholds are the ones the committed crossover
-/// measurement derived, and at 2 threads they keep every Table 1
-/// formulation of the apex2 and apex1 stand-ins on the serial assembly
-/// path. This is the deterministic stand-in for a "2 threads are never
-/// slower than 1" timing gate on Table 1.
-#[test]
-fn table1_dispatch_follows_committed_crossover() {
-    use sgs_core::problem::PAR_CON_THRESHOLD;
-    use sgs_ssta::analysis::PAR_GATE_THRESHOLD;
-
-    let threshold = committed_crossover("assembly_crossover", "threshold");
-    assert_eq!(
-        PAR_CON_THRESHOLD, threshold,
-        "assembly threshold vs artifact"
-    );
-    assert_eq!(
-        PAR_GATE_THRESHOLD,
-        committed_crossover("ssta_crossover", "threshold"),
-        "SSTA threshold vs artifact"
-    );
-    for c in generate::benchmark_suite() {
-        if c.name() == "k2" {
-            continue;
-        }
-        let outputs = c.outputs().len();
-        for (obj, spec) in [
-            (Objective::MeanDelay, DelaySpec::None),
-            (Objective::MeanPlusKSigma(3.0), DelaySpec::None),
-            (Objective::Area, DelaySpec::MaxMean(30.0)),
-            (
-                Objective::Area,
-                DelaySpec::MaxMeanPlusKSigma { k: 3.0, d: 30.0 },
-            ),
-            (
-                Objective::Area,
-                DelaySpec::PerOutput {
-                    k: 3.0,
-                    d: vec![30.0; outputs],
-                },
-            ),
-        ] {
-            let p = SizingProblem::build(&c, &lib(), obj, spec);
-            let m = p.num_constraints();
-            assert_eq!(
-                p.assembles_in_parallel(2),
-                m >= threshold,
-                "{} at {m}",
-                c.name()
-            );
-            assert!(
-                !p.assembles_in_parallel(2),
-                "{} ({m} constraints) must assemble serially",
-                c.name()
-            );
-            assert!(!p.assembles_in_parallel(1));
-        }
-    }
-}
-
-/// Clark variance clamps fired on the assembly workers are credited to
-/// the calling thread, so a solve's clamp count does not depend on the
-/// assembly path. The point draws every variable from the moments of a
-/// known clamping pair (`B` dominates `A` at `alpha ~ -7.4` with almost
-/// no variance), so some maxima of apex2 cancel below zero.
-#[test]
-fn assembly_clamp_count_is_path_invariant() {
-    use sgs_statmath::clark;
-
-    let c = generate::benchmark_suite()
-        .into_iter()
-        .find(|c| c.name() == "apex2")
-        .expect("suite has apex2");
-    let mut p = SizingProblem::build(
-        &c,
-        &lib(),
-        Objective::Area,
-        DelaySpec::MaxMeanPlusKSigma { k: 3.0, d: 25.0 },
-    );
-    let moments = [
-        45.819_505_757_673_95,
-        4688.85,
-        549.342_819_022_493_9,
-        1.5e-13,
-    ];
-    let mut state = 0x9E37_79B9_7F4A_7C15u64;
-    let x: Vec<f64> = (0..p.num_vars())
-        .map(|_| {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            moments[(state >> 33) as usize % 4]
-        })
-        .collect();
-    let lambda = vec![0.5; p.num_constraints()];
-    let mut eval = |threshold: usize| {
-        force_threads(2);
-        p.set_par_threshold(threshold);
-        let mut con = vec![0.0; p.num_constraints()];
-        let mut jac = vec![0.0; p.jacobian_structure().len()];
-        let mut hes = vec![0.0; p.hessian_structure().len()];
-        let before = clark::thread_var_clamp_count();
-        p.constraints(&x, &mut con);
-        p.jacobian_values(&x, &mut jac);
-        p.hessian_values(&x, 1.0, &lambda, &mut hes);
-        (
-            clark::thread_var_clamp_count() - before,
-            bits(&con),
-            bits(&jac),
-            bits(&hes),
-        )
-    };
-    let serial = eval(usize::MAX);
-    let parallel = eval(0);
-    assert!(serial.0 > 0, "the point must exercise the variance clamp");
-    assert_eq!(parallel, serial, "clamp count or values differ by path");
 }
